@@ -53,12 +53,26 @@ func main() {
 	for _, d := range m.Ducts {
 		ductIDs = append(ductIDs, d.ID)
 	}
+	// Scenarios mask the cut ducts out of the one graph instead of
+	// copying it: skip is indexed by edge position, tree and scratch are
+	// reused across every Dijkstra run.
+	skip := make([]bool, g.NumEdges())
+	var spt graph.ShortestPathTree
+	var scratch graph.Scratch
+	maskCut := func(cut []int) {
+		clear(skip)
+		for _, id := range cut {
+			if idx, ok := g.EdgeIndex(id); ok {
+				skip[idx] = true
+			}
+		}
+	}
 	scenarios, covered, uncovReroutes := 0, 0, 0
-	graph.FailureScenarios(ductIDs, 2, func(cut map[int]bool) {
+	graph.FailureScenarios(ductIDs, 2, func(cut []int) {
 		scenarios++
-		sub := g.WithoutEdges(cut)
+		maskCut(cut)
 		for i, a := range dcs {
-			tree := sub.Dijkstra(a)
+			tree := g.DijkstraInto(a, skip, &spt, &scratch)
 			for _, b := range dcs[i+1:] {
 				if math.IsInf(tree.Dist[b], 1) {
 					continue // physically disconnected: no guarantee owed
@@ -96,12 +110,11 @@ func main() {
 			worst2, best2 = id, du.TotalPairs()
 		}
 	}
-	cut := map[int]bool{worst1: true, worst2: true}
-	sub := g.WithoutEdges(cut)
+	maskCut([]int{worst1, worst2})
 	fmt.Printf("\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
 		worst1, worst2, best1, best2)
 	for i, a := range dcs {
-		tree := sub.Dijkstra(a)
+		tree := g.DijkstraInto(a, skip, &spt, &scratch)
 		for _, b := range dcs[i+1:] {
 			if math.IsInf(tree.Dist[b], 1) {
 				fmt.Printf("  %s-%s physically disconnected by the cuts\n",

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"iris/internal/graph"
-	"iris/internal/hose"
 	"iris/internal/optics"
 	"iris/internal/parallel"
 	"iris/internal/plan"
@@ -16,63 +15,113 @@ import (
 // Auditor replays failure scenarios against a finished plan and checks
 // whether the provisioned capacities still admit the hose traffic.
 //
-// For each scenario it materialises the degraded graph, re-routes every DC
-// pair exactly as the planner would (same deterministic Dijkstra
-// tie-breaking, same hub walks for centralized plans), and per duct
-// verifies the worst-case hose-model load of the crossing pairs — computed
-// by the same bipartite-double-cover max-flow the planner uses — fits the
-// base plus cut-through fiber leased there. A pair a cut disconnects is
-// skipped, matching the planner's own guarantee: Algorithm 1 owes no
-// capacity to pairs with no surviving path, so admissibility means "every
-// pair that still has a path gets its full hose demand", and Survives
-// additionally demands that no pair lost its path.
+// For each scenario it re-routes every DC pair around the cut on the
+// planner's own plan.Evaluator (same deterministic Dijkstra tie-breaking,
+// same hub walks for centralized plans) and per crossed duct applies the
+// planner's need rule — the worst-case hose-model load of the crossing
+// pairs plus the multi-crossing surcharge — against the base plus
+// cut-through fiber leased there. Unlike the planner it counts every
+// crossing pair, cut-through riders included: their load never exceeds
+// the cut-through's provisioned size (the b-matching LP is subadditive
+// over pair-set unions), so the cut-through fiber covers them. A pair a
+// cut disconnects is skipped, matching the planner's own guarantee:
+// Algorithm 1 owes no capacity to pairs with no surviving path, so
+// admissibility means "every pair that still has a path gets its full
+// hose demand", and Survives additionally demands that no pair lost its
+// path.
 //
-// An Auditor is safe for concurrent Audit calls; Run fans scenarios out
-// over a worker pool.
+// An Auditor is safe for concurrent Audit calls: each call takes a
+// workspace (evaluator, flow network, cluster scratch) from a pool of
+// idle ones and returns it, so the pool grows only to the peak number of
+// concurrent calls. Run fans scenarios out over a worker pool.
 type Auditor struct {
-	pl     *plan.Plan
-	base   *graph.Graph
+	in     plan.Input // the plan's input, Base resolved and shared
 	dcs    []int
-	caps   map[int]float64
-	baseKM map[hose.Pair]float64 // failure-free path length per pair
+	baseKM []float64 // failure-free path length per pair index
 
-	havePairs map[int]int // duct -> base + cut-through fiber-pairs
-	residual  map[int]int // duct -> residual fiber-pairs
+	have  []int // duct ID -> base + cut-through fiber-pairs
+	resid []int // duct ID -> residual fiber-pairs
 
-	// mu guards the worst-case-load memo; most scenarios reproduce the
-	// same per-duct pair sets, so loads are shared across Audit calls.
-	mu    sync.Mutex
-	loads map[string]float64
+	mu   sync.Mutex
+	idle []*workspace
+}
+
+// workspace is one Audit call's scratch. Its evaluator keeps the hose
+// memo warm across the scenarios it audits, and its flow network spans
+// every provisioned duct once: a scenario zeroes its cut ducts' arcs and
+// restores them afterwards.
+type workspace struct {
+	ev     *plan.Evaluator
+	flow   *graph.FlowNetwork
+	arc    []int // duct ID -> its first flow arc, -1 when unprovisioned
+	parent []int // node ID -> union-find parent, over DC nodes
+	size   []int // node ID -> cluster size, counted at roots by stranded
 }
 
 // NewAuditor prepares an auditor for the given plan. The plan's base graph
 // is rebuilt unless the plan's input carried one.
 func NewAuditor(pl *plan.Plan) *Auditor {
-	base := pl.Input.Base
-	if base == nil {
-		base = plan.BaseGraph(pl.Input.Map)
+	in := pl.Input
+	if in.Base == nil {
+		in.Base = plan.BaseGraph(in.Map)
 	}
+	nDucts := len(in.Map.Ducts)
 	a := &Auditor{
-		pl:        pl,
-		base:      base,
-		dcs:       pl.Input.Map.DCs(),
-		caps:      make(map[int]float64),
-		baseKM:    make(map[hose.Pair]float64),
-		havePairs: make(map[int]int),
-		residual:  make(map[int]int),
-		loads:     make(map[string]float64),
-	}
-	for _, dc := range a.dcs {
-		a.caps[dc] = float64(pl.Input.Capacity[dc])
+		in:    in,
+		dcs:   in.Map.DCs(),
+		have:  make([]int, nDucts),
+		resid: make([]int, nDucts),
 	}
 	for id, du := range pl.Ducts {
-		a.havePairs[id] = du.BasePairs + du.CutThroughPairs
-		a.residual[id] = du.ResidualPairs
+		a.have[id] = du.BasePairs + du.CutThroughPairs
+		a.resid[id] = du.ResidualPairs
 	}
-	for pair, info := range pl.Paths {
-		a.baseKM[pair] = info.TotalKM
+	// Failure-free route lengths, the baseline stretch is measured from.
+	w := a.newWorkspace()
+	a.baseKM = make([]float64, w.ev.NumPairs())
+	for i, n := 0, w.ev.Route(nil); i < n; i++ {
+		_, idx, km := w.ev.Routed(i)
+		a.baseKM[idx] = km
 	}
+	a.idle = append(a.idle, w)
 	return a
+}
+
+// get takes an idle workspace, building one when none is free.
+func (a *Auditor) get() *workspace {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.idle); n > 0 {
+		w := a.idle[n-1]
+		a.idle = a.idle[:n-1]
+		return w
+	}
+	return a.newWorkspace()
+}
+
+func (a *Auditor) put(w *workspace) {
+	a.mu.Lock()
+	a.idle = append(a.idle, w)
+	a.mu.Unlock()
+}
+
+func (a *Auditor) newWorkspace() *workspace {
+	m := a.in.Map
+	w := &workspace{
+		ev:     plan.NewEvaluator(a.in),
+		flow:   graph.NewFlowNetwork(len(m.Nodes)),
+		arc:    make([]int, len(m.Ducts)),
+		parent: make([]int, len(m.Nodes)),
+		size:   make([]int, len(m.Nodes)),
+	}
+	for id, d := range m.Ducts {
+		w.arc[id] = -1
+		if total := a.have[id] + a.resid[id]; total > 0 {
+			w.arc[id] = w.flow.AddArc(d.A, d.B, float64(total))
+			w.flow.AddArc(d.B, d.A, float64(total))
+		}
+	}
+	return w
 }
 
 // Overload records one duct whose provisioned fiber cannot carry the
@@ -120,241 +169,122 @@ type Result struct {
 
 // Audit replays one scenario against the plan.
 func (a *Auditor) Audit(sc Scenario) Result {
+	w := a.get()
+	defer a.put(w)
 	res := Result{Scenario: sc, Cuts: sc.CutCount(), MaxStretch: 1}
-	g := a.base
-	if len(sc.Ducts) > 0 {
-		g = a.base.WithoutEdges(sc.CutSet())
+
+	ev := w.ev
+	routed := ev.Route(sc.Ducts)
+	res.DisconnectedPairs = ev.NumPairs() - routed
+	for _, dc := range a.dcs {
+		w.parent[dc] = dc
 	}
-
-	// Route every pair the way the planner does and collect per-duct
-	// crossings (with multiplicity: centralized hub walks can cross a
-	// duct twice).
-	crossings := make(map[int]map[hose.Pair]int)
-	residByDuct := make(map[int]int)
-	connected := make([]hose.Pair, 0, len(a.dcs)*(len(a.dcs)-1)/2)
-
-	record := func(pair hose.Pair, edges []graph.Edge, totalKM float64) {
-		connected = append(connected, pair)
-		for _, e := range edges {
-			residByDuct[e.ID]++
-			byPair := crossings[e.ID]
-			if byPair == nil {
-				byPair = make(map[hose.Pair]int)
-				crossings[e.ID] = byPair
-			}
-			byPair[pair]++
-		}
-		if totalKM > optics.MaxPathKM+1e-9 {
+	for i := 0; i < routed; i++ {
+		pair, idx, km := ev.Routed(i)
+		w.union(pair.A, pair.B)
+		if km > optics.MaxPathKM+1e-9 {
 			res.SLAViolations++
 		}
-		if base, ok := a.baseKM[pair]; ok && base > 0 {
-			if s := totalKM / base; s > res.MaxStretch {
+		if base := a.baseKM[idx]; base > 0 {
+			if s := km / base; s > res.MaxStretch {
 				res.MaxStretch = s
 			}
 		}
 	}
+	res.DisconnectedDCs = w.stranded(a.dcs)
 
-	if hubs := a.pl.Input.ViaHubs; len(hubs) > 0 {
-		hubTrees := make(map[int]*graph.ShortestPathTree, len(hubs))
-		for _, h := range hubs {
-			hubTrees[h] = g.Dijkstra(h)
-		}
-		for i, x := range a.dcs {
-			for _, y := range a.dcs[i+1:] {
-				pair := hose.Pair{A: x, B: y}
-				edges, total, ok := bestHubWalk(hubTrees, hubs, x, y)
-				if !ok {
-					res.DisconnectedPairs++
-					continue
-				}
-				record(pair, edges, total)
-			}
-		}
-	} else {
-		trees := make(map[int]*graph.ShortestPathTree, len(a.dcs))
-		for _, dc := range a.dcs {
-			trees[dc] = g.Dijkstra(dc)
-		}
-		for i, x := range a.dcs {
-			for _, y := range a.dcs[i+1:] {
-				pair := hose.Pair{A: x, B: y}
-				_, edges, ok := trees[x].PathTo(y)
-				if !ok {
-					res.DisconnectedPairs++
-					continue
-				}
-				record(pair, edges, trees[x].Dist[y])
-			}
-		}
-	}
-
-	res.DisconnectedDCs = strandedDCs(a.dcs, connected)
-
-	// Capacity check per crossed duct, mirroring the planner's
-	// provisioning rule: worst-case hose load of the crossing pairs plus
-	// the multi-crossing surcharge, against base + cut-through fiber.
-	// Cut-through fiber counts because its riders are among the crossing
-	// pairs and their load never exceeds the cut-through's provisioned
-	// size (the b-matching LP is subadditive over pair-set unions).
-	ductIDs := make([]int, 0, len(crossings))
-	for id := range crossings {
-		ductIDs = append(ductIDs, id)
-	}
-	sort.Ints(ductIDs)
-	for _, id := range ductIDs {
-		byPair := crossings[id]
-		pairs := make([]hose.Pair, 0, len(byPair))
-		extra := 0.0
-		for pair, k := range byPair {
-			pairs = append(pairs, pair)
-			if k > 1 {
-				extra += float64(k-1) * math.Min(a.caps[pair.A], a.caps[pair.B])
-			}
-		}
-		need := int(math.Ceil(a.cachedLoad(pairs) + extra - 1e-9))
-		if have := a.havePairs[id]; need > have {
+	for _, id32 := range ev.Tabulate(nil) {
+		id := int(id32)
+		need, _, crossings := ev.Duct(id, nil)
+		if have := a.have[id]; need > have {
 			res.Overloads = append(res.Overloads, Overload{DuctID: id, NeedPairs: need, HavePairs: have})
 		}
-		if n, have := residByDuct[id], a.residual[id]; n > have {
-			res.ResidualOverloads = append(res.ResidualOverloads, Overload{DuctID: id, NeedPairs: n, HavePairs: have})
+		if have := a.resid[id]; crossings > have {
+			res.ResidualOverloads = append(res.ResidualOverloads, Overload{DuctID: id, NeedPairs: crossings, HavePairs: have})
 		}
 	}
 
 	res.Admissible = len(res.Overloads) == 0 && len(res.ResidualOverloads) == 0
 	res.Survives = res.Admissible && res.DisconnectedPairs == 0
-	res.WorstPairFibers = a.worstPairThroughput(sc.CutSet(), connected)
+	if routed > 0 {
+		res.WorstPairFibers = w.worstPair(a, sc.Ducts)
+	}
 	return res
 }
 
-// strandedDCs returns the DCs outside the largest cluster the surviving
-// pairs connect, sorted ascending. Ties go to the cluster holding the
+func (w *workspace) find(x int) int {
+	for w.parent[x] != x {
+		w.parent[x] = w.parent[w.parent[x]]
+		x = w.parent[x]
+	}
+	return x
+}
+
+// union merges two DCs' clusters, rooting at the smaller ID.
+func (w *workspace) union(x, y int) {
+	rx, ry := w.find(x), w.find(y)
+	w.parent[max(rx, ry)] = min(rx, ry)
+}
+
+// stranded returns the DCs outside the largest cluster the surviving
+// pairs connect, ascending, or nil. Ties go to the cluster holding the
 // lowest DC ID, so the result is deterministic even for an even split.
-func strandedDCs(dcs []int, pairs []hose.Pair) []int {
-	parent := make(map[int]int, len(dcs))
+func (w *workspace) stranded(dcs []int) []int {
 	for _, dc := range dcs {
-		parent[dc] = dc
+		w.size[dc] = 0
 	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, p := range pairs {
-		ra, rb := find(p.A), find(p.B)
-		if ra != rb {
-			// Root at the smaller ID so the tie-break below is stable.
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	size := make(map[int]int)
 	for _, dc := range dcs {
-		size[find(dc)]++
+		w.size[w.find(dc)]++
 	}
 	best := -1
 	for _, dc := range dcs { // ascending IDs: first max wins ties
-		if r := find(dc); size[r] > 0 && (best == -1 || size[r] > size[best]) {
+		if r := w.find(dc); best == -1 || w.size[r] > w.size[best] {
 			best = r
 		}
 	}
 	var out []int
 	for _, dc := range dcs {
-		if find(dc) != best {
+		if w.find(dc) != best {
 			out = append(out, dc)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
-// bestHubWalk mirrors the planner's centralized routing: the shortest
-// DC-hub-DC walk over the given hubs, whose legs may share ducts.
-func bestHubWalk(trees map[int]*graph.ShortestPathTree, hubs []int, a, b int) (edges []graph.Edge, total float64, ok bool) {
-	best := graph.Inf
-	for _, h := range hubs {
-		t := trees[h]
-		d := t.Dist[a] + t.Dist[b]
-		if d >= best || d >= graph.Inf {
-			continue
-		}
-		_, edgesA, okA := t.PathTo(a)
-		_, edgesB, okB := t.PathTo(b)
-		if !okA || !okB {
-			continue
-		}
-		es := make([]graph.Edge, 0, len(edgesA)+len(edgesB))
-		for i := len(edgesA) - 1; i >= 0; i-- {
-			es = append(es, edgesA[i])
-		}
-		es = append(es, edgesB...)
-		edges, total, ok = es, d, true
-		best = d
-	}
-	return edges, total, ok
-}
-
-// worstPairThroughput builds one flow network over the surviving
-// provisioned ducts (arc capacity = total leased fiber-pairs, both
-// directions) and returns the minimum max-flow over the surviving pairs —
-// the residual worst-pair throughput of the degraded region. The network
-// is built once per scenario and Reset between per-pair runs.
-func (a *Auditor) worstPairThroughput(cut map[int]bool, pairs []hose.Pair) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	f := graph.NewFlowNetwork(len(a.pl.Input.Map.Nodes))
-	for id, have := range a.havePairs {
-		total := have + a.residual[id]
-		if total == 0 || cut[id] {
-			continue
-		}
-		d := a.pl.Input.Map.Ducts[id]
-		f.AddArc(d.A, d.B, float64(total))
-		f.AddArc(d.B, d.A, float64(total))
-	}
+// worstPair returns the residual worst-pair throughput: the minimum over
+// surviving DC pairs of their max-flow across the provisioned ducts that
+// survive the cut (arc capacity = total leased fiber-pairs, both
+// directions). Within one cluster that minimum is the minimum over
+// members t of λ(root, t), because λ(a, c) ≥ min(λ(a, b), λ(b, c)) for
+// any b; capacities are whole fiber-pair counts, so every flow is exact.
+// That takes one max-flow per non-root DC instead of one per pair.
+func (w *workspace) worstPair(a *Auditor, cuts []int) float64 {
+	w.setCut(cuts, a, true)
 	worst := math.Inf(1)
-	for i, pair := range pairs {
-		if i > 0 {
-			f.Reset()
-		}
-		if flow := f.MaxFlow(pair.A, pair.B); flow < worst {
-			worst = flow
+	for _, dc := range a.dcs {
+		if r := w.find(dc); r != dc {
+			w.flow.Reset()
+			if flow := w.flow.MaxFlow(r, dc); flow < worst {
+				worst = flow
+			}
 		}
 	}
+	w.setCut(cuts, a, false)
 	return worst
 }
 
-// cachedLoad memoises hose.WorstCaseLoad over the plan's DC capacities,
-// keyed by the sorted pair-set signature (as the planner does), shared
-// across concurrent Audit calls.
-func (a *Auditor) cachedLoad(pairs []hose.Pair) float64 {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
+// setCut zeroes (or restores) the flow arcs of the cut ducts.
+func (w *workspace) setCut(cuts []int, a *Auditor, cut bool) {
+	for _, id := range cuts {
+		if id >= 0 && id < len(w.arc) && w.arc[id] >= 0 {
+			c := float64(a.have[id] + a.resid[id])
+			if cut {
+				c = 0
+			}
+			w.flow.SetCapacity(w.arc[id], c)
+			w.flow.SetCapacity(w.arc[id]+2, c)
 		}
-		return pairs[i].B < pairs[j].B
-	})
-	key := make([]byte, 0, 4*len(pairs))
-	for _, pr := range pairs {
-		key = append(key,
-			byte(pr.A), byte(pr.A>>8),
-			byte(pr.B), byte(pr.B>>8))
 	}
-	a.mu.Lock()
-	load, ok := a.loads[string(key)]
-	a.mu.Unlock()
-	if ok {
-		return load
-	}
-	load = hose.WorstCaseLoad(a.caps, pairs)
-	a.mu.Lock()
-	a.loads[string(key)] = load
-	a.mu.Unlock()
-	return load
 }
 
 // Run audits every scenario across the given number of workers (0 =

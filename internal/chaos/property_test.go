@@ -37,7 +37,8 @@ func planSynthetic(t *testing.T, seed int64, dcs, failures int) *core.Deployment
 // TestPlanGuaranteeHolds is the subsystem's property test: a plan built
 // with MaxFailures=k must audit 100% admissible against every cut set of
 // at most k ducts — the planner's Algorithm-1 guarantee, checked by
-// independent replay on seeded synthetic regions.
+// independent replay on seeded synthetic regions, by the Auditor and by
+// the brute-force oracle it replaced.
 func TestPlanGuaranteeHolds(t *testing.T) {
 	cases := []struct {
 		seed     int64
@@ -49,20 +50,28 @@ func TestPlanGuaranteeHolds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dep := planSynthetic(t, tc.seed, 4, tc.failures)
-		a := NewAuditor(dep.Plan)
 		scs := EnumerateCuts(dep.Region.Map, tc.failures)
-		bad := 0
-		for _, r := range a.Run(scs, 0) {
-			if !r.Admissible {
-				bad++
-				if bad <= 3 {
-					t.Errorf("seed %d k=%d: scenario %q not admissible: overloads %v, residual %v",
-						tc.seed, tc.failures, r.Scenario.Name, r.Overloads, r.ResidualOverloads)
+		auditors := []struct {
+			name string
+			run  func([]Scenario, int) []Result
+		}{
+			{"auditor", NewAuditor(dep.Plan).Run},
+			{"oracle", newOracleAuditor(dep.Plan).Run},
+		}
+		for _, a := range auditors {
+			bad := 0
+			for _, r := range a.run(scs, 0) {
+				if !r.Admissible {
+					bad++
+					if bad <= 3 {
+						t.Errorf("%s seed %d k=%d: scenario %q not admissible: overloads %v, residual %v",
+							a.name, tc.seed, tc.failures, r.Scenario.Name, r.Overloads, r.ResidualOverloads)
+					}
 				}
 			}
-		}
-		if bad > 0 {
-			t.Errorf("seed %d k=%d: %d/%d scenarios inadmissible", tc.seed, tc.failures, bad, len(scs))
+			if bad > 0 {
+				t.Errorf("%s seed %d k=%d: %d/%d scenarios inadmissible", a.name, tc.seed, tc.failures, bad, len(scs))
+			}
 		}
 	}
 }

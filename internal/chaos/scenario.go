@@ -8,8 +8,10 @@
 //     geo-radius events (a backhoe or disaster severing every duct whose
 //     route passes through a disk).
 //   - The Auditor (audit.go) replays each scenario against a finished plan
-//     and verifies the provisioned capacities still admit the hose traffic
-//     of every surviving DC pair, aggregating survivability curves.
+//     on the planner's own scenario kernel (plan.Evaluator: routing around
+//     the cut, per-duct crossing tables, the need rule) and verifies the
+//     provisioned capacities still admit the hose traffic of every
+//     surviving DC pair, aggregating survivability curves.
 //   - The Injector (inject.go) turns scenarios into live device faults on
 //     an emulated fabric and drives the irisd control plane through
 //     inject → detect → restore → heal → replan cycles, measuring
@@ -111,15 +113,6 @@ type Scenario struct {
 // CutCount returns the number of ducts the scenario severs.
 func (s Scenario) CutCount() int { return len(s.Ducts) }
 
-// CutSet returns the severed ducts as a set.
-func (s Scenario) CutSet() map[int]bool {
-	set := make(map[int]bool, len(s.Ducts))
-	for _, id := range s.Ducts {
-		set[id] = true
-	}
-	return set
-}
-
 // Cut builds a plain duct-cut scenario from the given duct IDs.
 func Cut(ducts ...int) Scenario {
 	sorted := append([]int(nil), ducts...)
@@ -164,12 +157,8 @@ func incidentDucts(m *fibermap.Map, node int) []int {
 func EnumerateCuts(m *fibermap.Map, maxCuts int) []Scenario {
 	ids := usableDucts(m)
 	out := make([]Scenario, 0, graph.CountFailureScenarios(len(ids), maxCuts))
-	graph.FailureScenarios(ids, maxCuts, func(cut map[int]bool) {
-		ducts := make([]int, 0, len(cut))
-		for id := range cut {
-			ducts = append(ducts, id)
-		}
-		out = append(out, Cut(ducts...))
+	graph.FailureScenarios(ids, maxCuts, func(cut []int) {
+		out = append(out, Cut(cut...))
 	})
 	return out
 }

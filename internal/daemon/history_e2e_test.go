@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -267,20 +268,37 @@ func TestHistoryTimeTravel(t *testing.T) {
 	for _, e := range base.Edges() {
 		ids = append(ids, e.ID)
 	}
+	// Sum stranded demand in ascending pair order, as the API does, so
+	// the two sums compare exactly.
+	pairs := make([]hose.Pair, 0, len(demand))
+	for p := range demand {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].A != pairs[j].A {
+			return pairs[i].A < pairs[j].A
+		}
+		return pairs[i].B < pairs[j].B
+	})
 	worst := make(map[int]float64)
 	solo := make(map[int]float64)
-	graph.FailureScenarios(ids, crit.K, func(cut map[int]bool) {
+	graph.FailureScenarios(ids, crit.K, func(cut []int) {
 		if len(cut) == 0 {
 			return
 		}
-		comps := base.WithoutEdges(cut).Components()
+		skip := make([]bool, base.NumEdges())
+		for _, id := range cut {
+			idx, _ := base.EdgeIndex(id)
+			skip[idx] = true
+		}
+		comps := base.Components(skip)
 		stranded := 0.0
-		for p, dm := range demand {
+		for _, p := range pairs {
 			if comps[p.A] != comps[p.B] {
-				stranded += dm
+				stranded += demand[p]
 			}
 		}
-		for id := range cut {
+		for _, id := range cut {
 			if stranded > worst[id] {
 				worst[id] = stranded
 			}

@@ -158,7 +158,7 @@ func (m *Map) Validate() error {
 		}
 	}
 	if len(m.Nodes) > 1 {
-		labels := m.Graph().Components()
+		labels := m.Graph().Components(nil)
 		for _, l := range labels {
 			if l != 0 {
 				return fmt.Errorf("fibermap: duct graph is disconnected")

@@ -12,8 +12,8 @@ import "math"
 // filter, writing into a caller-owned tree through a reusable Scratch,
 // so a warmed solver routes a scenario with zero heap allocations.
 //
-// Results are bit-identical to Dijkstra on the WithoutEdges-derived
-// graph: the deterministic tie-break (better) keys on distances, hop
+// Results are bit-identical to Dijkstra on a graph rebuilt without the
+// skipped edges: the deterministic tie-break (better) keys on distances, hop
 // counts, node numbers and edge IDs — none of which change when edges
 // are filtered instead of removed — and adjacency is scanned in the
 // same relative order.
@@ -90,8 +90,8 @@ func (g *Graph) bucketWidth() float64 {
 // DijkstraInto computes the single-source shortest-path tree of g with
 // the skipped edges excluded, writing into t. skip is indexed by edge
 // *index* (see EdgeIndex), not ID; nil means no exclusions. The result
-// is bit-identical to g.WithoutEdges(set).Dijkstra(source) but performs
-// no allocation once t and sc are warm. t is returned for convenience.
+// is bit-identical to Dijkstra on a copy of g without those edges but
+// performs no allocation once t and sc are warm. t is returned for convenience.
 func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
 	t.reset(g, source)
 	sc.reset(g.n)

@@ -142,39 +142,6 @@ func (g *Graph) Neighbors(n int, fn func(Edge)) {
 	}
 }
 
-// WithoutEdges returns a copy of g with the edges whose IDs appear in the
-// set removed. It is how failure scenarios are materialised, so it builds
-// the copy directly rather than through AddEdge: the surviving edges are
-// already validated and unique, and skipping the per-edge lock and memo
-// invalidation keeps scenario fan-out (thousands of derived graphs) cheap.
-func (g *Graph) WithoutEdges(removed map[int]bool) *Graph {
-	h := &Graph{
-		n:     g.n,
-		edges: make([]Edge, 0, len(g.edges)),
-		byID:  make([]int32, len(g.byID)),
-		adj:   make([][]int, g.n),
-	}
-	for i := range h.byID {
-		h.byID[i] = -1
-	}
-	for _, e := range g.edges {
-		if removed[e.ID] {
-			continue
-		}
-		idx := len(h.edges)
-		h.edges = append(h.edges, e)
-		h.byID[e.ID] = int32(idx)
-		if e.W > 0 && (h.minW == 0 || e.W < h.minW) {
-			h.minW = e.W
-		}
-		h.adj[e.U] = append(h.adj[e.U], idx)
-		if e.V != e.U {
-			h.adj[e.V] = append(h.adj[e.V], idx)
-		}
-	}
-	return h
-}
-
 // Inf is the distance reported for unreachable nodes.
 var Inf = math.Inf(1)
 
@@ -443,34 +410,12 @@ func (g *Graph) BellmanFord(source int) []float64 {
 	return dist
 }
 
-// Connected reports whether u and v are in the same component.
-func (g *Graph) Connected(u, v int) bool {
-	if u == v {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, idx := range g.adj[n] {
-			m := g.edges[idx].Other(n)
-			if m == v {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return false
-}
-
 // Components returns the component label of every node; labels are dense
 // from 0 and assigned in order of the smallest node in each component.
-func (g *Graph) Components() []int {
+// skip excludes edges by edge *index* (see EdgeIndex), as DijkstraInto
+// does; nil means none, so a failure scenario's connectivity needs no
+// derived graph.
+func (g *Graph) Components(skip []bool) []int {
 	label := make([]int, g.n)
 	for i := range label {
 		label[i] = -1
@@ -486,6 +431,9 @@ func (g *Graph) Components() []int {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, idx := range g.adj[n] {
+				if skip != nil && skip[idx] {
+					continue
+				}
 				m := g.edges[idx].Other(n)
 				if label[m] < 0 {
 					label[m] = next
@@ -499,31 +447,30 @@ func (g *Graph) Components() []int {
 }
 
 // FailureScenarios enumerates all subsets of the given edge IDs of size 0
-// through maxCuts inclusive and calls fn with each subset (as a set). The
-// subset map is reused across calls; fn must not retain it. Enumeration
-// order is deterministic: the empty set first, then depth-first by sorted
-// ID, so each subset is visited immediately after its longest prefix.
-func FailureScenarios(ids []int, maxCuts int, fn func(cut map[int]bool)) {
+// through maxCuts inclusive and calls fn with each subset, in ascending
+// ID order. The subset slice is reused across calls; fn must not retain
+// it. Enumeration order is deterministic: the empty set first, then
+// depth-first by sorted ID, so each subset is visited immediately after
+// its longest prefix.
+func FailureScenarios(ids []int, maxCuts int, fn func(cut []int)) {
 	sorted := append([]int(nil), ids...)
 	sort.Ints(sorted)
-	cut := make(map[int]bool, maxCuts)
+	cut := make([]int, 0, max(maxCuts, 0))
 	fn(cut) // the no-failure scenario
 
-	var rec func(start, remaining int)
-	rec = func(start, remaining int) {
-		if remaining == 0 {
+	var rec func(start int)
+	rec = func(start int) {
+		if len(cut) >= maxCuts {
 			return
 		}
 		for i := start; i < len(sorted); i++ {
-			cut[sorted[i]] = true
+			cut = append(cut, sorted[i])
 			fn(cut)
-			rec(i+1, remaining-1)
-			delete(cut, sorted[i])
+			rec(i + 1)
+			cut = cut[:len(cut)-1]
 		}
 	}
-	if maxCuts > 0 {
-		rec(0, maxCuts)
-	}
+	rec(0)
 }
 
 // CountFailureScenarios returns the number of scenarios FailureScenarios

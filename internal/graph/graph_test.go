@@ -216,14 +216,11 @@ func TestWithoutEdges(t *testing.T) {
 	if h.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", h.NumEdges())
 	}
-	if h.Connected(0, 3) {
-		t.Error("0 and 3 should be disconnected after removing edge 1")
-	}
-	if !h.Connected(0, 1) || !h.Connected(2, 3) {
-		t.Error("remaining segments should stay connected")
+	if got, want := h.Components(nil), []int{0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("components after removing edge 1 = %v, want %v", got, want)
 	}
 	// Original graph untouched.
-	if g.NumEdges() != 3 || !g.Connected(0, 3) {
+	if got, want := g.Components(nil), []int{0, 0, 0, 0}; g.NumEdges() != 3 || !reflect.DeepEqual(got, want) {
 		t.Error("WithoutEdges mutated the original graph")
 	}
 }
@@ -232,24 +229,37 @@ func TestComponents(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 0, 1, 1)
 	g.AddEdge(1, 2, 3, 1)
-	labels := g.Components()
+	labels := g.Components(nil)
 	want := []int{0, 0, 1, 1, 2}
 	if !reflect.DeepEqual(labels, want) {
 		t.Errorf("Components = %v, want %v", labels, want)
+	}
+
+	// A skip mask must label components exactly as the derived graph
+	// without the masked edges does.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(12)
+		h := randomGraph(rng, n, rng.Intn(3*n))
+		removed := make(map[int]bool)
+		skip := make([]bool, h.NumEdges())
+		for i, e := range h.Edges() {
+			if rng.Intn(3) == 0 {
+				removed[e.ID] = true
+				skip[i] = true
+			}
+		}
+		if got, want := h.Components(skip), h.WithoutEdges(removed).Components(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Components(skip) = %v, derived graph says %v", trial, got, want)
+		}
 	}
 }
 
 func TestFailureScenarios(t *testing.T) {
 	ids := []int{3, 1, 2}
 	var got [][]int
-	FailureScenarios(ids, 2, func(cut map[int]bool) {
-		var s []int
-		for _, id := range []int{1, 2, 3} {
-			if cut[id] {
-				s = append(s, id)
-			}
-		}
-		got = append(got, s)
+	FailureScenarios(ids, 2, func(cut []int) {
+		got = append(got, append([]int(nil), cut...))
 	})
 	want := [][]int{
 		nil,
@@ -285,7 +295,7 @@ func TestFailureScenariosMatchesCount(t *testing.T) {
 	ids := []int{10, 20, 30, 40, 50, 60}
 	for k := 0; k <= 3; k++ {
 		n := 0
-		FailureScenarios(ids, k, func(map[int]bool) { n++ })
+		FailureScenarios(ids, k, func([]int) { n++ })
 		if want := CountFailureScenarios(len(ids), k); n != want {
 			t.Errorf("k=%d: enumerated %d scenarios, want %d", k, n, want)
 		}
@@ -481,4 +491,37 @@ func BenchmarkWithoutEdges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.WithoutEdges(removed)
 	}
+}
+
+// WithoutEdges returns a copy of g with the edges whose IDs appear in the
+// set removed, built directly rather than through AddEdge. Production code
+// filters edges with skip masks instead; the clone stays here as the
+// reference the skip-mask paths (DijkstraInto, Components) are checked
+// against.
+func (g *Graph) WithoutEdges(removed map[int]bool) *Graph {
+	h := &Graph{
+		n:     g.n,
+		edges: make([]Edge, 0, len(g.edges)),
+		byID:  make([]int32, len(g.byID)),
+		adj:   make([][]int, g.n),
+	}
+	for i := range h.byID {
+		h.byID[i] = -1
+	}
+	for _, e := range g.edges {
+		if removed[e.ID] {
+			continue
+		}
+		idx := len(h.edges)
+		h.edges = append(h.edges, e)
+		h.byID[e.ID] = int32(idx)
+		if e.W > 0 && (h.minW == 0 || e.W < h.minW) {
+			h.minW = e.W
+		}
+		h.adj[e.U] = append(h.adj[e.U], idx)
+		if e.V != e.U {
+			h.adj[e.V] = append(h.adj[e.V], idx)
+		}
+	}
+	return h
 }

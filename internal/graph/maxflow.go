@@ -14,6 +14,10 @@ type FlowNetwork struct {
 	arcs []arc // forward/backward arcs interleaved: arc i's reverse is i^1
 	head [][]int
 	orig []float64 // as-built capacities, restored by Reset
+
+	// MaxFlow scratch, kept so a network that is Reset and solved again
+	// allocates nothing.
+	level, iter, queue []int
 }
 
 type arc struct {
@@ -57,6 +61,14 @@ func (f *FlowNetwork) Reset() {
 	}
 }
 
+// SetCapacity changes an arc's as-built capacity, the value Reset
+// restores. Zeroing an arc removes it from later runs without rebuilding
+// the network (e.g. a duct a failure scenario cuts).
+func (f *FlowNetwork) SetCapacity(arcIdx int, capacity float64) {
+	f.orig[arcIdx] = capacity
+	f.arcs[arcIdx].cap = capacity
+}
+
 // Flow returns the flow routed on the arc with the given index by the most
 // recent MaxFlow call: the capacity consumed on the forward arc, i.e. the
 // residual on its reverse.
@@ -74,9 +86,10 @@ func (f *FlowNetwork) MaxFlow(s, t int) float64 {
 	}
 	const eps = 1e-12
 	var total float64
-	level := make([]int, f.n)
-	iter := make([]int, f.n)
-	queue := make([]int, 0, f.n)
+	if len(f.level) < f.n {
+		f.level, f.iter, f.queue = make([]int, f.n), make([]int, f.n), make([]int, 0, f.n)
+	}
+	level, iter, queue := f.level, f.iter, f.queue
 
 	bfs := func() bool {
 		for i := range level {

@@ -170,7 +170,7 @@ func TestBridgesAgainstBruteForce(t *testing.T) {
 	}
 	components := func(h *Graph) int {
 		max := -1
-		for _, c := range h.Components() {
+		for _, c := range h.Components(nil) {
 			if c > max {
 				max = c
 			}

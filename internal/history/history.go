@@ -156,18 +156,20 @@ type Lake struct {
 	fileMu sync.Mutex
 	file   *os.File
 
-	appends    *telemetry.Counter
-	evictions  *telemetry.Counter
-	persistErr *telemetry.Counter
-	replayed   *telemetry.Counter
-	records    *telemetry.Gauge
+	appends      *telemetry.Counter
+	evictions    *telemetry.Counter
+	persistErr   *telemetry.Counter
+	replayed     *telemetry.Counter
+	replayErrors *telemetry.Counter
+	records      *telemetry.Gauge
 }
 
 // New opens a lake. With a Path configured it replays the file's tail
 // (up to Capacity records, resuming the Seq counter past the highest
 // replayed value) and keeps the file open for appends; replay problems
-// are not fatal — a truncated line ends the replay and appending
-// continues on the same file.
+// are not fatal — an unparsable line is skipped and counted in
+// iris_history_replay_errors_total, and appending continues on the same
+// file.
 func New(cfg Config) (*Lake, error) {
 	capacity := cfg.Capacity
 	if capacity <= 0 {
@@ -187,22 +189,34 @@ func New(cfg Config) (*Lake, error) {
 	l.evictions = reg.Counter("iris_history_evictions_total", "History records evicted by the bounded ring.")
 	l.persistErr = reg.Counter("iris_history_persist_errors_total", "Failed JSONL persistence writes.")
 	l.replayed = reg.Counter("iris_history_replayed_total", "Records replayed from the JSONL file at open.")
+	l.replayErrors = reg.Counter("iris_history_replay_errors_total", "Unparsable JSONL lines skipped while replaying at open.")
 	l.records = reg.Gauge("iris_history_records", "Records currently retained in the history lake.")
 
 	if cfg.Path != "" {
 		l.replay(cfg.Path, capacity)
-		f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
+		}
+		// A crash may have torn the last write: end that line, or the
+		// next record would be glued onto it and lost on replay.
+		var last [1]byte
+		if st, err := f.Stat(); err == nil && st.Size() > 0 {
+			if _, err := f.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
+				if _, err := f.Write([]byte{'\n'}); err != nil {
+					l.persistErr.Inc()
+				}
+			}
 		}
 		l.file = f
 	}
 	return l, nil
 }
 
-// replay loads the tail of a JSONL file into the rings. Records keep
-// their persisted Seq; the lake's counter resumes past the maximum so
-// new appends sort after everything replayed.
+// replay loads the tail of a JSONL file into the rings, skipping lines
+// that do not parse (a write torn by a crash, possibly followed by later
+// appends). Records keep their persisted Seq; the lake's counter resumes
+// past the maximum so new appends sort after everything replayed.
 func (l *Lake) replay(path string, capacity int) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -215,7 +229,8 @@ func (l *Lake) replay(path string, capacity int) {
 	for sc.Scan() {
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // truncated or corrupt tail: keep what parsed
+			l.replayErrors.Inc()
+			continue
 		}
 		tail = append(tail, rec)
 		if len(tail) > capacity {

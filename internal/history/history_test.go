@@ -181,6 +181,22 @@ func TestPersistenceSurvivesCorruptTail(t *testing.T) {
 	if _, ok := l2.Get(7); !ok {
 		t.Fatal("append after corrupt replay failed")
 	}
+	l2.Close()
+
+	// The record appended after the torn tail must survive the next
+	// restart, and the torn line is skipped and counted, not fatal.
+	reg := telemetry.NewRegistry()
+	l3 := mustLake(t, Config{Capacity: 32, Path: path, Registry: reg})
+	if l3.Len() != 3 {
+		t.Fatalf("third open replayed %d, want 3 (two intact + the one appended after the tear)", l3.Len())
+	}
+	if _, ok := l3.Get(7); !ok {
+		t.Fatal("record appended after the torn tail was lost on restart")
+	}
+	if c := reg.LookupCounter("iris_history_replay_errors_total"); c == nil || c.Value() != 1 {
+		t.Fatalf("replay errors counter: %v, want 1", c)
+	}
+	l3.Close()
 }
 
 func TestMetrics(t *testing.T) {

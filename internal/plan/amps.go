@@ -148,7 +148,7 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 				p.idxBuf = append(p.idxBuf, recs[i].pairIdx)
 			}
 		}
-		need := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		need := int(math.Ceil(p.ev.load(p.idxBuf, nil) - 1e-9))
 		if need > p.ampsArr[best] {
 			if p.ampsArr[best] == 0 {
 				p.ampsTouched = append(p.ampsTouched, int32(best))
@@ -195,7 +195,7 @@ func (p *Planner) pickAmpLocation(recs []pathRec) int {
 		for _, ri := range cl {
 			p.idxBuf = append(p.idxBuf, recs[ri].pairIdx)
 		}
-		noa := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		noa := int(math.Ceil(p.ev.load(p.idxBuf, nil) - 1e-9))
 		ntbp := noa - p.ampsArr[v]
 		if ntbp < 0 {
 			ntbp = 0

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -14,12 +13,13 @@ import (
 
 // This file is the planner's arena: a Planner owns every slab the
 // planning pipeline touches — routing records, Dijkstra trees, per-duct
-// crossing tables, the hose-load memo, cut-through identities — and
-// reuses them across Plan calls, so a warmed solve performs no heap
-// allocation. The generation-stamp idiom (a per-entry stamp compared
-// against a run counter, with a touched list for sparse reset) comes
-// from core's incremental AllocState and is applied to every per-
-// scenario structure; set-valued keys that were formatted strings in
+// crossing tables and the hose-load memo (through its Evaluator, see
+// evaluator.go), cut-through identities — and reuses them across Plan
+// calls, so a warmed solve performs no heap allocation. The
+// generation-stamp idiom (a per-entry stamp compared against a run
+// counter, with a touched list for sparse reset) comes from core's
+// incremental AllocState and is applied to every per-scenario
+// structure; set-valued keys that were formatted strings in
 // the map-based planner (scenario cut sets, hose pair signatures,
 // cut-through identities) are interned in seqIndex tables instead.
 
@@ -151,13 +151,6 @@ const (
 	nStages
 )
 
-// crossEntry is one DC pair's crossing count on a duct within a
-// scenario (hub walks may cross a duct more than once).
-type crossEntry struct {
-	pairIdx int32
-	count   int32
-}
-
 type slaRec struct {
 	pair    hose.Pair
 	totalKM float64
@@ -200,14 +193,10 @@ type Planner struct {
 	in   Input
 	plan Plan
 
-	// Region-shaped state, rebuilt by prepare on fingerprint miss.
+	// Region-shaped state, rebuilt by prepare on fingerprint miss. The
+	// evaluator routes, tabulates crossings and sizes ducts per scenario.
 	prepared bool
-	base     *graph.Graph
-	dcs      []int
-	nDC      int
-	caps     map[int]float64 // DC -> capacity (float for hose calls)
-	pairAB   []hose.Pair     // pairIdx -> canonical pair
-	hubs     []int
+	ev       Evaluator
 
 	// Fingerprint of the prepared region.
 	fpMap      *fibermap.Map
@@ -218,37 +207,12 @@ type Planner struct {
 
 	// Scenario enumeration.
 	seen      seqIndex
-	cutSorted []int32  // current cut, ascending duct IDs
-	cutMark   []bool   // per duct ID
-	skip      []bool   // per base edge index
-	usedMark  []uint32 // per duct ID, stamped by usedSeq
-	usedSeq   uint32
+	cutSorted []int32   // current cut, ascending duct IDs
+	cutMark   []bool    // per duct ID
 	usedBuf   [][]int32 // per DFS depth
 
-	// Routing.
-	dijk     graph.Scratch
-	ownTrees []graph.ShortestPathTree
-	curTrees []*graph.ShortestPathTree
-	ownHub   []graph.ShortestPathTree
-	curHub   []*graph.ShortestPathTree
-	legN     []int
-	legE     []graph.Edge
-	recs     []pathRec // one slot per DC pair
-
-	// Hose-load memo, keyed by sorted pairIdx sequences. Survives
-	// across solves while the fingerprint holds — the dominant
-	// cross-solve win.
-	hoseIdx   seqIndex
-	hoseLoads []float64
-	idxBuf    []int32
-	pairsBuf  []hose.Pair
-
-	// Provisioning scratch (per duct ID).
-	cross     [][]crossEntry
-	crossGen  []uint32
-	crossSeq  uint32
-	residCnt  []int32
-	crossList []int32
+	// Amp and cut-through sizing scratch.
+	idxBuf []int32
 
 	// Amplifier placement scratch (per node).
 	pend        []int32
@@ -321,18 +285,18 @@ func (p *Planner) matches(in Input) bool {
 		in.MaxFailures != p.fpMaxFail || in.Lambda <= 0 {
 		return false
 	}
-	if p.base.NumEdges() != p.fpNumEdges {
+	if p.ev.base.NumEdges() != p.fpNumEdges {
 		return false
 	}
-	if len(in.ViaHubs) != len(p.hubs) {
+	if len(in.ViaHubs) != len(p.ev.hubs) {
 		return false
 	}
 	for i, h := range in.ViaHubs {
-		if h != p.hubs[i] {
+		if h != p.ev.hubs[i] {
 			return false
 		}
 	}
-	for i, dc := range p.dcs {
+	for i, dc := range p.ev.dcs {
 		if c, ok := in.Capacity[dc]; !ok || c != p.fpCaps[i] {
 			return false
 		}
@@ -345,63 +309,31 @@ func (p *Planner) matches(in Input) bool {
 // steady-state Planner.
 func (p *Planner) prepare(in Input) error {
 	p.prepared = false
-	m := in.Map
-	p.dcs = m.DCs()
-	p.base = in.Base
-	if p.base == nil {
-		p.base = BaseGraph(m)
-	}
+	p.ev.prepare(in)
+	base, dcs := p.ev.base, p.ev.dcs
 
 	// Reject regions that are disconnected even before any failure.
 	// Connectivity is a property of the base graph, so the check belongs
 	// to prepare: a fingerprint hit implies it already passed.
-	labels := p.base.Components()
-	for _, dc := range p.dcs[1:] {
-		if labels[dc] != labels[p.dcs[0]] {
-			return fmt.Errorf("plan: DCs %d and %d are not connected by usable ducts", p.dcs[0], dc)
+	labels := base.Components(nil)
+	for _, dc := range dcs[1:] {
+		if labels[dc] != labels[dcs[0]] {
+			return fmt.Errorf("plan: DCs %d and %d are not connected by usable ducts", dcs[0], dc)
 		}
 	}
 
-	nNodes := p.base.NumNodes()
-	nEdges := p.base.NumEdges()
-	nDucts := p.base.MaxEdgeID() + 1
-	p.nDC = len(p.dcs)
-	nPairs := p.nDC * (p.nDC - 1) / 2
+	nNodes := base.NumNodes()
+	nEdges := base.NumEdges()
+	nDucts := base.MaxEdgeID() + 1
+	nPairs := len(p.ev.pairAB)
 
-	p.caps = make(map[int]float64, p.nDC)
-	p.fpCaps = make([]int, p.nDC)
-	for i, dc := range p.dcs {
-		c := in.Capacity[dc]
-		p.caps[dc] = float64(c)
-		p.fpCaps[i] = c
+	p.fpCaps = make([]int, len(dcs))
+	for i, dc := range dcs {
+		p.fpCaps[i] = in.Capacity[dc]
 	}
-	p.pairAB = p.pairAB[:0]
-	for i := 0; i < p.nDC; i++ {
-		for j := i + 1; j < p.nDC; j++ {
-			p.pairAB = append(p.pairAB, hose.Pair{A: p.dcs[i], B: p.dcs[j]})
-		}
-	}
-	p.hubs = append(p.hubs[:0], in.ViaHubs...)
 
 	p.cutSorted = make([]int32, 0, in.MaxFailures+1)
 	p.cutMark = make([]bool, nDucts)
-	p.skip = make([]bool, nEdges)
-	p.usedMark = make([]uint32, nDucts)
-	p.usedSeq = 0
-
-	p.ownTrees = make([]graph.ShortestPathTree, p.nDC)
-	p.curTrees = make([]*graph.ShortestPathTree, p.nDC)
-	p.ownHub = make([]graph.ShortestPathTree, len(p.hubs))
-	p.curHub = make([]*graph.ShortestPathTree, len(p.hubs))
-	p.recs = make([]pathRec, nPairs)
-
-	p.hoseIdx.reset()
-	p.hoseLoads = p.hoseLoads[:0]
-
-	p.cross = make([][]crossEntry, nDucts)
-	p.crossGen = make([]uint32, nDucts)
-	p.crossSeq = 0
-	p.residCnt = make([]int32, nDucts)
 
 	p.candOf = make([][]int32, nNodes)
 	p.candGen = make([]uint32, nNodes)
@@ -417,7 +349,7 @@ func (p *Planner) prepare(in Input) error {
 	p.pathsOut = make(map[hose.Pair]*PathInfo, nPairs)
 	p.ampsOut = make(map[int]int)
 
-	p.fpMap = m
+	p.fpMap = in.Map
 	p.fpInBase = in.Base
 	p.fpNumEdges = nEdges
 	p.fpMaxFail = in.MaxFailures
@@ -429,7 +361,7 @@ func (p *Planner) prepare(in Input) error {
 // solve used.
 func (p *Planner) resetSolve(in Input) {
 	p.in = in
-	p.plan = Plan{Input: in, DCs: p.dcs}
+	p.plan = Plan{Input: in, DCs: p.ev.dcs}
 	for _, id := range p.ductList {
 		p.ductActive[id] = false
 		p.ductSlab[id] = DuctUse{}
@@ -456,7 +388,7 @@ func (p *Planner) resetSolve(in Input) {
 	// The DFS unwinds these in lockstep, but an errored solve may have
 	// bailed mid-descent; clearing is cheap insurance.
 	clear(p.cutMark)
-	clear(p.skip)
+	clear(p.ev.skip)
 	for i := range p.stageDur {
 		p.stageDur[i] = 0
 		p.stageCalls[i] = 0
@@ -466,13 +398,6 @@ func (p *Planner) resetSolve(in Input) {
 func (p *Planner) timeStage(stage int, start time.Time) {
 	p.stageDur[stage] += time.Since(start)
 	p.stageCalls[stage]++
-}
-
-// pairIdx maps DC positions i<j (in dcs order) to the dense pair index;
-// the enumeration order makes ascending indices coincide with ascending
-// (A, B) pairs, which cachedLoad's key ordering relies on.
-func (p *Planner) pairIdx(i, j int) int32 {
-	return int32(i*p.nDC - i*(i+1)/2 + j - i - 1)
 }
 
 // visit is the pruned scenario DFS: a cut of a duct no chosen path uses
@@ -512,9 +437,7 @@ func (p *Planner) visit(depth int) error {
 
 func (p *Planner) pushCut(d int) {
 	p.cutMark[d] = true
-	if idx, ok := p.base.EdgeIndex(d); ok {
-		p.skip[idx] = true
-	}
+	p.ev.setSkip([]int{d}, true)
 	p.cutSorted = append(p.cutSorted, int32(d))
 	for i := len(p.cutSorted) - 1; i > 0 && p.cutSorted[i-1] > p.cutSorted[i]; i-- {
 		p.cutSorted[i-1], p.cutSorted[i] = p.cutSorted[i], p.cutSorted[i-1]
@@ -523,9 +446,7 @@ func (p *Planner) pushCut(d int) {
 
 func (p *Planner) popCut(d int) {
 	p.cutMark[d] = false
-	if idx, ok := p.base.EdgeIndex(d); ok {
-		p.skip[idx] = false
-	}
+	p.ev.setSkip([]int{d}, false)
 	for i, v := range p.cutSorted {
 		if v == int32(d) {
 			p.cutSorted = append(p.cutSorted[:i], p.cutSorted[i+1:]...)
@@ -540,11 +461,16 @@ func (p *Planner) popCut(d int) {
 func (p *Planner) scenario(used []int32) ([]int32, error) {
 	var skip []bool
 	if len(p.cutSorted) > 0 {
-		skip = p.skip
+		skip = p.ev.skip
 	}
 
 	start := time.Now()
-	recs := p.recs[:p.routeAll(skip)]
+	recs := p.ev.recs[:p.ev.route(skip)]
+	for i := range recs {
+		if recs[i].totalKM > optics.MaxPathKM+1e-9 {
+			p.recordSLA(recs[i].pair, recs[i].totalKM)
+		}
+	}
 	p.timeStage(stRoute, start)
 
 	start = time.Now()
@@ -563,120 +489,14 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 	// cut-through fiber does not also consume switched base capacity on
 	// the ducts it bypasses.
 	start = time.Now()
-	p.provision(recs)
+	p.provision()
 	p.timeStage(stProvision, start)
 	if len(p.cutSorted) == 0 {
 		p.recordBasePaths(recs)
 	}
 
-	p.usedSeq++
-	if p.usedSeq == 0 { // stamp wraparound: invalidate all marks
-		clear(p.usedMark)
-		p.usedSeq = 1
-	}
-	for i := range recs {
-		for _, e := range recs[i].ducts {
-			if p.usedMark[e.ID] != p.usedSeq {
-				p.usedMark[e.ID] = p.usedSeq
-				used = append(used, int32(e.ID))
-			}
-		}
-	}
-	slices.Sort(used)
-	return used, nil
-}
-
-// routeAll computes every DC pair's route — shortest path in the
-// distributed design, best DC-hub-DC path in the centralized one — into
-// the rec slab, skipping pairs disconnected by the cuts and recording
-// SLA overruns. It returns the number of routed pairs. The failure-free
-// scenario (skip == nil) reads the base graph's memoised trees, which
-// are shared across solves and, through Input.Base, across planners.
-func (p *Planner) routeAll(skip []bool) int {
-	nr := 0
-	if len(p.hubs) > 0 {
-		for hi, h := range p.hubs {
-			if skip == nil {
-				p.curHub[hi] = p.base.Dijkstra(h)
-			} else {
-				p.curHub[hi] = p.base.DijkstraInto(h, skip, &p.ownHub[hi], &p.dijk)
-			}
-		}
-		for i := range p.dcs {
-			for j := i + 1; j < p.nDC; j++ {
-				a, b := p.dcs[i], p.dcs[j]
-				// Best DC-hub-DC walk; legs may share ducts (both DCs
-				// behind one trunk) and provisioning accounts for the
-				// double crossing.
-				best := graph.Inf
-				var bt *graph.ShortestPathTree
-				for _, t := range p.curHub {
-					if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
-						best, bt = d, t
-					}
-				}
-				if bt == nil {
-					continue
-				}
-				r := p.nextRec(&nr, i, j)
-				p.legN, p.legE, _ = bt.AppendPathTo(a, p.legN[:0], p.legE[:0])
-				for k := len(p.legN) - 1; k >= 0; k-- {
-					r.nodes = append(r.nodes, p.legN[k])
-				}
-				for k := len(p.legE) - 1; k >= 0; k-- {
-					r.ducts = append(r.ducts, p.legE[k])
-				}
-				p.legN, p.legE, _ = bt.AppendPathTo(b, p.legN[:0], p.legE[:0])
-				r.nodes = append(r.nodes, p.legN[1:]...)
-				r.ducts = append(r.ducts, p.legE...)
-				r.totalKM = best
-				if r.totalKM > optics.MaxPathKM+1e-9 {
-					p.recordSLA(r.pair, r.totalKM)
-				}
-			}
-		}
-		return nr
-	}
-
-	for di, dc := range p.dcs {
-		if skip == nil {
-			p.curTrees[di] = p.base.Dijkstra(dc)
-		} else {
-			p.curTrees[di] = p.base.DijkstraInto(dc, skip, &p.ownTrees[di], &p.dijk)
-		}
-	}
-	for i := range p.dcs {
-		t := p.curTrees[i]
-		for j := i + 1; j < p.nDC; j++ {
-			b := p.dcs[j]
-			if math.IsInf(t.Dist[b], 1) {
-				continue // cut disconnected this pair; no guarantee owed
-			}
-			r := p.nextRec(&nr, i, j)
-			r.nodes, r.ducts, _ = t.AppendPathTo(b, r.nodes, r.ducts)
-			r.totalKM = t.Dist[b]
-			if r.totalKM > optics.MaxPathKM+1e-9 {
-				p.recordSLA(r.pair, r.totalKM)
-			}
-		}
-	}
-	return nr
-}
-
-// nextRec claims the next rec slot for DC positions i<j, resetting its
-// reused slices.
-func (p *Planner) nextRec(nr *int, i, j int) *pathRec {
-	r := &p.recs[*nr]
-	*nr++
-	r.pair = hose.Pair{A: p.dcs[i], B: p.dcs[j]}
-	r.pairIdx = p.pairIdx(i, j)
-	r.nodes = r.nodes[:0]
-	r.ducts = r.ducts[:0]
-	r.totalKM = 0
-	r.ampNode = -1
-	r.bypass = r.bypass[:0]
-	r.cutDucts = r.cutDucts[:0]
-	return r
+	// The crossing table lists every duct any chosen path crosses.
+	return append(used, p.ev.crossList...), nil
 }
 
 func (p *Planner) recordSLA(pair hose.Pair, totalKM float64) {
@@ -698,86 +518,13 @@ func (p *Planner) recordSLA(pair hose.Pair, totalKM float64) {
 // Centralized (via-hub) walks may cross a duct more than once; each
 // extra crossing is provisioned at the pair's full hose demand, a sound
 // upper bound on the exact (weighted) worst case.
-func (p *Planner) provision(recs []pathRec) {
-	p.crossSeq++
-	if p.crossSeq == 0 {
-		clear(p.crossGen)
-		p.crossSeq = 1
+func (p *Planner) provision() {
+	for _, id := range p.ev.Tabulate(nil) {
+		need, _, crossings := p.ev.Duct(int(id), nil)
+		du := p.ductUse(int(id))
+		du.BasePairs = max(du.BasePairs, need)
+		du.ResidualPairs = max(du.ResidualPairs, crossings)
 	}
-	p.crossList = p.crossList[:0]
-	for ri := range recs {
-		pr := &recs[ri]
-		for _, e := range pr.ducts {
-			id := e.ID
-			if p.crossGen[id] != p.crossSeq {
-				p.crossGen[id] = p.crossSeq
-				p.cross[id] = p.cross[id][:0]
-				p.residCnt[id] = 0
-				p.crossList = append(p.crossList, int32(id))
-			}
-			p.residCnt[id]++
-			if !pr.onCutThrough(id) {
-				entries := p.cross[id]
-				found := false
-				for k := range entries {
-					if entries[k].pairIdx == pr.pairIdx {
-						entries[k].count++
-						found = true
-						break
-					}
-				}
-				if !found {
-					p.cross[id] = append(entries, crossEntry{pairIdx: pr.pairIdx, count: 1})
-				}
-			}
-		}
-	}
-	for _, id32 := range p.crossList {
-		id := int(id32)
-		if entries := p.cross[id]; len(entries) > 0 {
-			p.idxBuf = p.idxBuf[:0]
-			extra := 0.0
-			for _, en := range entries {
-				p.idxBuf = append(p.idxBuf, en.pairIdx)
-				if en.count > 1 {
-					pair := p.pairAB[en.pairIdx]
-					extra += float64(en.count-1) * math.Min(p.caps[pair.A], p.caps[pair.B])
-				}
-			}
-			load := p.cachedLoad(p.idxBuf) + extra
-			basePairs := int(math.Ceil(load - 1e-9))
-			du := p.ductUse(id)
-			if basePairs > du.BasePairs {
-				du.BasePairs = basePairs
-			}
-		}
-		if n := int(p.residCnt[id]); n > 0 {
-			du := p.ductUse(id)
-			if n > du.ResidualPairs {
-				du.ResidualPairs = n
-			}
-		}
-	}
-}
-
-// cachedLoad memoises hose.WorstCaseLoad over the planner's fixed DC
-// capacities, keyed by the sorted pair-index sequence (duplicates are
-// harmless: WorstCaseLoad coalesces them). idx is sorted in place. The
-// memo outlives individual solves, so a re-solved region pays for no
-// max-flow at all.
-func (p *Planner) cachedLoad(idx []int32) float64 {
-	slices.Sort(idx)
-	id, added := p.hoseIdx.intern(idx)
-	if !added {
-		return p.hoseLoads[id]
-	}
-	p.pairsBuf = p.pairsBuf[:0]
-	for _, pi := range idx {
-		p.pairsBuf = append(p.pairsBuf, p.pairAB[pi])
-	}
-	load := hose.WorstCaseLoad(p.caps, p.pairsBuf)
-	p.hoseLoads = append(p.hoseLoads, load)
-	return load
 }
 
 func (p *Planner) ductUse(id int) *DuctUse {

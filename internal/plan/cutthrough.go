@@ -85,7 +85,7 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 		for _, ri := range p.ctResolve[best] {
 			p.idxBuf = append(p.idxBuf, recs[ri].pairIdx)
 		}
-		need := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		need := int(math.Ceil(p.ev.load(p.idxBuf, nil) - 1e-9))
 		id, added := p.ctAll.intern(key)
 		if added {
 			ct := ctRec{

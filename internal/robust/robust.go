@@ -11,9 +11,10 @@
 // are dedicated per DC pair, an allocation provisioned for the envelope
 // covers every matrix the envelope dominates; Solve then verifies each
 // matrix independently — per-pair coverage against the provisioned
-// wavelengths and per-duct worst-case hose load (hose.WorstCaseLoad)
-// against the leased fiber — and iterates, tightening the headroom toward
-// 1 and finally clamping the envelope into the hose polytope, until all k
+// wavelengths, and per duct the planner's need rule (plan.Evaluator's
+// worst-case hose load at the matrix's own per-DC caps) against the
+// leased fiber — and iterates, tightening the headroom toward 1 and
+// finally clamping the envelope into the hose polytope, until all k
 // matrices pass or the iteration budget is exhausted.
 //
 // At high utilisation no single allocation can dominate a volatile set
@@ -29,6 +30,7 @@ import (
 
 	"iris/internal/core"
 	"iris/internal/hose"
+	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -376,20 +378,23 @@ func Provisioned(alloc core.Allocation, lambda int) float64 {
 	return total
 }
 
-// Verify checks each matrix's admissibility under a fixed allocation,
-// mirroring the chaos auditor's provisioning rule. Two independent
-// checks per matrix:
+// Verify checks each matrix's admissibility under a fixed allocation.
+// Two independent checks per matrix:
 //
 //   - coverage: every pair's demand fits the wavelengths the allocation
 //     provisions for it (circuits are dedicated per pair, so coverage is
 //     exactly per-pair dominance up to the allocator's ceiling);
-//   - capacity: per crossed duct, the worst-case hose-model load of the
-//     crossing pairs — hose.WorstCaseLoad with the matrix's own per-DC
-//     aggregates as hose caps, plus the multi-crossing surcharge for hub
-//     walks — must fit the base plus cut-through fiber leased there, and
-//     the crossing-pair count must fit the residual fibers.
+//   - capacity: per duct the plan's failure-free routes cross, the
+//     planner's need rule (plan.Evaluator) over the pairs with demand —
+//     their worst-case hose load with the matrix's own per-DC aggregates
+//     as hose caps, plus the multi-crossing surcharge for hub walks — must
+//     fit the base plus cut-through fiber leased there, and the number of
+//     crossing pairs must fit the residual fibers.
 func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) []Verdict {
 	lambda := dep.Region.Lambda
+	ev := plan.NewEvaluator(dep.Plan.Input)
+	routed := ev.Route(nil)
+	keep := make([]bool, ev.NumPairs())
 	out := make([]Verdict, len(ms))
 	for i, m := range ms {
 		v := Verdict{Index: i, Admissible: true}
@@ -401,7 +406,6 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 			capsF[dc] = agg / float64(lambda)
 		}
 
-		crossings := make(map[int]map[hose.Pair]int)
 		for p, dm := range m.Demand {
 			if dm <= 0 {
 				continue
@@ -412,49 +416,30 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 				v.Uncovered = append(v.Uncovered, c)
 				v.Admissible = false
 			}
-			info, ok := dep.Plan.Paths[c]
-			if !ok {
+			if _, ok := dep.Plan.Paths[c]; !ok {
 				v.Uncovered = append(v.Uncovered, c)
 				v.Admissible = false
-				continue
 			}
-			for _, duct := range info.Ducts {
-				byPair := crossings[duct]
-				if byPair == nil {
-					byPair = make(map[hose.Pair]int)
-					crossings[duct] = byPair
-				}
-				byPair[c]++
-			}
+		}
+		for r := 0; r < routed; r++ {
+			pair, idx, _ := ev.Routed(r)
+			keep[idx] = m.Get(pair) > 0
 		}
 		sort.Slice(v.Uncovered, func(a, b int) bool { return lessPair(v.Uncovered[a], v.Uncovered[b]) })
 
-		ductIDs := make([]int, 0, len(crossings))
-		for id := range crossings {
-			ductIDs = append(ductIDs, id)
-		}
-		sort.Ints(ductIDs)
-		for _, id := range ductIDs {
+		for _, id32 := range ev.Tabulate(keep) {
+			id := int(id32)
 			du := dep.Plan.Ducts[id]
 			if du == nil {
 				continue
 			}
-			byPair := crossings[id]
-			pairs := make([]hose.Pair, 0, len(byPair))
-			extra := 0.0
-			for pair, k := range byPair {
-				pairs = append(pairs, pair)
-				if k > 1 {
-					extra += float64(k-1) * math.Min(capsF[pair.A], capsF[pair.B])
-				}
-			}
-			need := int(math.Ceil(hose.WorstCaseLoad(capsF, pairs) + extra - 1e-9))
+			need, pairs, _ := ev.Duct(id, capsF)
 			if have := du.BasePairs + du.CutThroughPairs; need > have {
 				v.Overloads = append(v.Overloads, Overload{Duct: id, Need: need, Have: have})
 				v.Admissible = false
 			}
-			if n, have := len(byPair), du.ResidualPairs; n > have {
-				v.ResidualOverloads = append(v.ResidualOverloads, Overload{Duct: id, Need: n, Have: have})
+			if have := du.ResidualPairs; pairs > have {
+				v.ResidualOverloads = append(v.ResidualOverloads, Overload{Duct: id, Need: pairs, Have: have})
 				v.Admissible = false
 			}
 		}

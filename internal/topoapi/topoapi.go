@@ -283,14 +283,25 @@ type CriticalDuct struct {
 	MinCutPairs int `json:"min_cut_pairs"`
 }
 
-// strandedDemand sums the demand of pairs split across components of the
-// degraded graph.
-func strandedDemand(base *graph.Graph, cut map[int]bool, demand map[hose.Pair]float64) float64 {
-	comps := base.WithoutEdges(cut).Components()
+// strandedDemand sums the demand (keyed by canonical DC pairs, as
+// traffic.Matrix stores it) of the pairs the cut ducts split across
+// components of the base graph, found in one connectivity pass with the
+// cut masked out. It sums in ascending pair order, so identical requests
+// get bit-identical sums.
+func strandedDemand(base *graph.Graph, cut, dcs []int, demand map[hose.Pair]float64) float64 {
+	skip := make([]bool, base.NumEdges())
+	for _, id := range cut {
+		if idx, ok := base.EdgeIndex(id); ok {
+			skip[idx] = true
+		}
+	}
+	comps := base.Components(skip)
 	total := 0.0
-	for p, d := range demand {
-		if comps[p.A] != comps[p.B] {
-			total += d
+	for i, a := range dcs {
+		for _, b := range dcs[i+1:] {
+			if comps[a] != comps[b] {
+				total += demand[hose.Pair{A: a, B: b}]
+			}
 		}
 	}
 	return total
@@ -324,15 +335,15 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 
 	// Exhaustive ≤k cut audit: attribute each cut set's stranded demand
 	// to every member duct (worst case per duct).
-	graph.FailureScenarios(ids, k, func(cut map[int]bool) {
+	graph.FailureScenarios(ids, k, func(cut []int) {
 		if len(cut) == 0 {
 			return
 		}
-		stranded := strandedDemand(base, cut, snap.Demand)
+		stranded := strandedDemand(base, cut, snap.Dep.Plan.DCs, snap.Demand)
 		if stranded == 0 {
 			return
 		}
-		for id := range cut {
+		for _, id := range cut {
 			row := rows[id]
 			if stranded > row.StrandedDemand {
 				row.StrandedDemand = stranded
@@ -441,7 +452,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"scenario":        sc,
 		"result":          res,
-		"stranded_demand": strandedDemand(base, sc.CutSet(), snap.Demand),
+		"stranded_demand": strandedDemand(base, sc.Ducts, snap.Dep.Plan.DCs, snap.Demand),
 	})
 }
 
