@@ -3,7 +3,6 @@ package core
 import (
 	"iris/internal/cost"
 	"iris/internal/plan"
-	"iris/internal/traffic"
 )
 
 // Solver is a reusable planning engine: it owns an arena-backed planner
@@ -56,12 +55,4 @@ func (s *Solver) Solve(region Region) (*Deployment, error) {
 	s.dep.EPS = s.calc.EPS(pl, s.opts.Prices)
 	s.dep.Hybrid = s.calc.Hybrid(pl, s.opts.Prices)
 	return &s.dep, nil
-}
-
-// SolveDelta applies a traffic delta to an allocation state derived from
-// this Solver's current Deployment (via Deployment.AllocateState). It is
-// Deployment.AllocateDelta surfaced on the Solver so a converge loop can
-// drive planning and incremental allocation through one handle.
-func (s *Solver) SolveDelta(st *AllocState, delta traffic.Delta) (Undo, DeltaStats, error) {
-	return s.dep.AllocateDelta(st, delta)
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"iris/internal/clos"
 	"iris/internal/cost"
 	"iris/internal/fibermap"
+	"iris/internal/hose"
 	"iris/internal/plan"
 	"iris/internal/stats"
 	"iris/internal/wave"
@@ -177,9 +179,22 @@ func WSSAblation(cfg WSSConfig) ([]WSSRow, error) {
 				return nil, err
 			}
 
+			// Lightpath IDs break coloring ties, so number the paths in
+			// (A, B) pair order rather than map order.
+			pairs := make([]hose.Pair, 0, len(pl.Paths))
+			for p := range pl.Paths {
+				pairs = append(pairs, p)
+			}
+			sort.Slice(pairs, func(i, j int) bool {
+				if pairs[i].A != pairs[j].A {
+					return pairs[i].A < pairs[j].A
+				}
+				return pairs[i].B < pairs[j].B
+			})
 			multi, total := 0, 0
 			var paths []wave.Lightpath
-			for _, info := range pl.Paths {
+			for _, p := range pairs {
+				info := pl.Paths[p]
 				total++
 				if len(info.Nodes) > 3 { // more than one intermediate node
 					multi++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,5 +59,23 @@ func TestWSSAblation(t *testing.T) {
 	out := FormatWSS(rows)
 	if !strings.Contains(out, "wavelength switching") {
 		t.Error("Format missing header")
+	}
+}
+
+// Greedy coloring breaks ties by lightpath ID, so the ablation must
+// number lightpaths in a fixed order: repeated runs print the same rows.
+func TestWSSAblationDeterministic(t *testing.T) {
+	want, err := WSSAblation(DefaultWSS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 4; run++ {
+		got, err := WSSAblation(DefaultWSS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: rows %+v, want %+v", run, got, want)
+		}
 	}
 }

@@ -79,12 +79,21 @@ func TestRoundSkipsBusyRegions(t *testing.T) {
 	fast0, fast1 := newFakeRegion(), newFakeRegion()
 	f := fakeFleet(t, fast0, slow, fast1)
 
+	// waitSteps waits until r has stepped want times and its task has
+	// finished: the step counter rises inside Step, but the member stays
+	// busy until the task's bookkeeping after Step completes.
 	waitSteps := func(r *fakeRegion, want int64) {
 		t.Helper()
+		var m *member
+		for _, mm := range f.members {
+			if mm.r == r {
+				m = mm
+			}
+		}
 		deadline := time.Now().Add(5 * time.Second)
-		for r.steps.Load() < want {
+		for r.steps.Load() < want || m.busy.Load() {
 			if time.Now().After(deadline) {
-				t.Fatalf("region stuck at %d steps, want %d", r.steps.Load(), want)
+				t.Fatalf("region stuck at %d steps (busy %v), want %d", r.steps.Load(), m.busy.Load(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -2,15 +2,14 @@ package graph
 
 import "math"
 
-// This file is the allocation-free face of Dijkstra. The memoised
-// Dijkstra method suits callers that keep one graph alive and ask for
-// the same sources repeatedly; the planner's failure-scenario loop is
-// the opposite shape — thousands of slightly different graphs, each
-// asked once per DC — and cloning a Graph per scenario plus allocating a
-// tree per source dominated the full-solve profile. DijkstraInto runs
-// the exact same algorithm on the *base* graph with an edge-exclusion
-// filter, writing into a caller-owned tree through a reusable Scratch,
-// so a warmed solver routes a scenario with zero heap allocations.
+// This file is the package's one shortest-path engine. DijkstraInto,
+// the memoised Dijkstra and DistancesFromSeeds all run settleBuckets,
+// a Dijkstra main loop over a monotone bucket queue. DijkstraInto is
+// the allocation-free face: the planner's failure-scenario loop asks
+// thousands of slightly different graphs once per DC, so it runs on the
+// *base* graph with an edge-exclusion filter, writing into a
+// caller-owned tree through a reusable Scratch, and a warmed solver
+// routes a scenario with zero heap allocations.
 //
 // Results are bit-identical to Dijkstra on a graph rebuilt without the
 // skipped edges: the deterministic tie-break (better) keys on distances, hop
@@ -19,16 +18,20 @@ import "math"
 // same relative order.
 
 // Scratch holds the reusable per-run state of DijkstraInto: the settled
-// marks and the priority queue (a monotone bucket queue, with a plain
-// binary heap as fallback for graphs whose weights defeat the bucket
-// width heuristic). A Scratch may be reused across runs and graphs but
-// not concurrently.
+// marks and the priority queue, a monotone bucket queue. A Scratch may
+// be reused across runs and graphs but not concurrently.
 type Scratch struct {
 	done    []bool
-	heap    []distItem
 	buckets [][]distItem
 	hi      int // 1 + highest bucket index touched this run
 	queued  int
+}
+
+// distItem is one queue entry: a tentative label for node.
+type distItem struct {
+	node int
+	dist float64
+	hops int
 }
 
 // maxBuckets bounds bucket-queue memory; distances past the last bucket
@@ -47,11 +50,11 @@ func (sc *Scratch) reset(n int) {
 		sc.buckets[i] = sc.buckets[i][:0]
 	}
 	sc.hi = 0
-	sc.heap = sc.heap[:0]
 	sc.queued = 0
 }
 
-// reset re-initialises a tree's slabs for graph g, reusing capacity.
+// reset re-initialises a tree's slabs for graph g, reusing capacity. A
+// negative source leaves every node unlabelled, for multi-seed runs.
 func (t *ShortestPathTree) reset(g *Graph, source int) {
 	n := g.n
 	if cap(t.Dist) < n {
@@ -70,21 +73,21 @@ func (t *ShortestPathTree) reset(g *Graph, source int) {
 	}
 	t.g = g
 	t.Source = source
-	t.Dist[source] = 0
-	t.Hops[source] = 0
+	if source >= 0 {
+		t.Dist[source] = 0
+		t.Hops[source] = 0
+	}
 }
 
 // bucketWidth picks the bucket quantum: the smallest positive edge
 // weight (Dial's choice) keeps buckets near-singleton so the min-scan
-// per pop stays O(1); widths whose spread would overflow the bucket cap
-// into one giant overflow bucket fall back to the heap. Zero disables
-// the bucket queue (edgeless or all-zero-weight graphs).
+// per pop stays O(1). The queue is exact for any positive width, so a
+// graph with no finite positive weight (edgeless, or all zero) uses 1.
 func (g *Graph) bucketWidth() float64 {
-	w := g.minW
-	if len(g.edges) == 0 || w <= 0 || math.IsInf(w, 1) {
-		return 0
+	if w := g.minW; w > 0 && !math.IsInf(w, 1) {
+		return w
 	}
-	return w
+	return 1
 }
 
 // DijkstraInto computes the single-source shortest-path tree of g with
@@ -95,24 +98,13 @@ func (g *Graph) bucketWidth() float64 {
 func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
 	t.reset(g, source)
 	sc.reset(g.n)
-	if w := g.bucketWidth(); w > 0 {
-		g.settleBuckets(t, sc, skip, w)
-	} else {
-		g.settleHeapScratch(t, sc, skip)
-	}
+	w := g.bucketWidth()
+	sc.pushBucket(distItem{node: source, dist: 0, hops: 0}, w)
+	g.settleBuckets(t, sc, skip, w)
 	return t
 }
 
-// dijkstraHeapInto is settleHeapScratch behind the DijkstraInto reset
-// protocol: the heap-only variant, kept callable for the equivalence
-// tests and the bucket-vs-heap micro-benchmarks.
-func (g *Graph) dijkstraHeapInto(source int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
-	t.reset(g, source)
-	sc.reset(g.n)
-	g.settleHeapScratch(t, sc, skip)
-	return t
-}
-
+// itemLess is the queue's total order: distance, then hops, then node.
 func itemLess(a, b distItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -123,14 +115,14 @@ func itemLess(a, b distItem) bool {
 	return a.node < b.node
 }
 
-// settleBuckets is the Dijkstra main loop over a monotone bucket queue.
+// settleBuckets is the Dijkstra main loop over the seeded bucket queue.
 // Extraction scans the lowest non-empty bucket for its minimum under
-// the same total order the heap uses, so the pop sequence — and hence
-// the tree, given the deterministic relaxation — matches the heap's
-// exactly. Monotonicity holds because a relaxed label is never smaller
-// than the label being settled, so pushes never land below the cursor.
+// itemLess, so the pop sequence — and hence the tree, given the
+// deterministic relaxation — is the one a binary heap under the same
+// order would produce. Monotonicity holds because a relaxed label is
+// never smaller than the label being settled, so pushes never land
+// below the cursor.
 func (g *Graph) settleBuckets(t *ShortestPathTree, sc *Scratch, skip []bool, width float64) {
-	sc.pushBucket(distItem{node: t.Source, dist: 0, hops: 0}, width)
 	bi := 0
 	for sc.queued > 0 {
 		for bi < sc.hi && len(sc.buckets[bi]) == 0 {
@@ -176,10 +168,15 @@ func (g *Graph) settleBuckets(t *ShortestPathTree, sc *Scratch, skip []bool, wid
 	}
 }
 
+// pushBucket queues it in bucket ⌊dist/width⌋, clamped to [0, overflow
+// bucket]. The clamp compares in float before converting: a quotient
+// beyond the int range (weights 1e-300 and 1, say) must not wrap.
 func (sc *Scratch) pushBucket(it distItem, width float64) {
-	bi := int(it.dist / width)
-	if bi >= maxBuckets {
+	bi := 0
+	if q := it.dist / width; q >= maxBuckets-1 {
 		bi = maxBuckets - 1
+	} else if q > 0 {
+		bi = int(q)
 	}
 	for bi >= len(sc.buckets) {
 		sc.buckets = append(sc.buckets, nil)
@@ -189,75 +186,4 @@ func (sc *Scratch) pushBucket(it distItem, width float64) {
 		sc.hi = bi + 1
 	}
 	sc.queued++
-}
-
-// settleHeapScratch mirrors settle but on a typed heap owned by the
-// Scratch, avoiding container/heap's interface boxing.
-func (g *Graph) settleHeapScratch(t *ShortestPathTree, sc *Scratch, skip []bool) {
-	sc.heap = heapPushItem(sc.heap, distItem{node: t.Source, dist: 0, hops: 0})
-	for len(sc.heap) > 0 {
-		var it distItem
-		sc.heap, it = heapPopItem(sc.heap)
-		u := it.node
-		if sc.done[u] {
-			continue
-		}
-		sc.done[u] = true
-		for _, idx := range g.adj[u] {
-			if skip != nil && skip[idx] {
-				continue
-			}
-			e := g.edges[idx]
-			v := e.Other(u)
-			if sc.done[v] {
-				continue
-			}
-			nd := t.Dist[u] + e.W
-			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
-				t.Dist[v] = nd
-				t.Hops[v] = nh
-				t.prevEdge[v] = idx
-				sc.heap = heapPushItem(sc.heap, distItem{node: v, dist: nd, hops: nh})
-			}
-		}
-	}
-}
-
-func heapPushItem(h []distItem, it distItem) []distItem {
-	h = append(h, it)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !itemLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func heapPopItem(h []distItem) ([]distItem, distItem) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && itemLess(h[l], h[small]) {
-			small = l
-		}
-		if r < len(h) && itemLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return h, top
 }

@@ -69,38 +69,79 @@ func TestDijkstraIntoMatchesWithoutEdges(t *testing.T) {
 	}
 }
 
-// Bucket-queue and binary-heap settling must pop in the same order and
-// therefore produce identical trees.
+// weightRegimes are the edge-weight generators the engine is checked
+// under: a wide random range; all zeros, where no positive weight sets
+// the bucket width; and a 1e-300/1 spread, whose distance-to-width
+// quotients lie far beyond the int range.
+var weightRegimes = []struct {
+	name string
+	w    func(*rand.Rand) float64
+}{
+	{"random", randomWeight},
+	{"zero", func(*rand.Rand) float64 { return 0 }},
+	{"spread", func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return 1e-300
+		}
+		return 1
+	}},
+}
+
+// The bucket-queue engine must reproduce the heap oracle's trees
+// exactly: DijkstraInto with and without skip masks, and the memoised
+// Dijkstra, on random multigraphs under every weight regime, with the
+// trees and scratch reused (dirty) between trials.
 func TestDijkstraBucketsMatchHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var bt, ht ShortestPathTree
-	var bs, hs Scratch
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(14)
-		m := rng.Intn(4 * n)
-		g := randomGraph(rng, n, m)
-		source := rng.Intn(n)
-		got := g.DijkstraInto(source, nil, &bt, &bs)
-		want := g.dijkstraHeapInto(source, nil, &ht, &hs)
-		treesEqual(t, want, got, n)
+	for _, wr := range weightRegimes {
+		t.Run(wr.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			var bt, ht ShortestPathTree
+			var bs, hs Scratch
+			for trial := 0; trial < 300; trial++ {
+				n := 2 + rng.Intn(14)
+				m := rng.Intn(4 * n)
+				g := weightedGraph(rng, n, m, wr.w)
+				source := rng.Intn(n)
+				want := g.dijkstraHeapInto(source, nil, &ht, &hs)
+				treesEqual(t, want, g.DijkstraInto(source, nil, &bt, &bs), n)
+				treesEqual(t, want, g.Dijkstra(source), n)
+
+				skip := make([]bool, m)
+				for i := range skip {
+					skip[i] = rng.Intn(4) == 0
+				}
+				want = g.dijkstraHeapInto(source, skip, &ht, &hs)
+				treesEqual(t, want, g.DijkstraInto(source, skip, &bt, &bs), n)
+			}
+		})
 	}
 }
 
-// A pathological weight spread forces everything into the clamped
-// overflow bucket; results must still be exact.
+// Pathological weight spreads force everything into the clamped
+// overflow bucket; results must still be exact. With weights 1e-300 and
+// 1, dist/width lies far beyond the int range, so the bucket index must
+// clamp before it converts.
 func TestDijkstraBucketsOverflowExact(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 0, 1, 1e-6)
-	g.AddEdge(1, 1, 2, 1e6)
-	g.AddEdge(2, 2, 3, 1e-6)
-	g.AddEdge(3, 3, 4, 1e6)
-	g.AddEdge(4, 0, 5, 2e6)
-	g.AddEdge(5, 5, 4, 1e-6)
+	wide := New(6)
+	wide.AddEdge(0, 0, 1, 1e-6)
+	wide.AddEdge(1, 1, 2, 1e6)
+	wide.AddEdge(2, 2, 3, 1e-6)
+	wide.AddEdge(3, 3, 4, 1e6)
+	wide.AddEdge(4, 0, 5, 2e6)
+	wide.AddEdge(5, 5, 4, 1e-6)
+	tiny := New(4)
+	tiny.AddEdge(0, 0, 1, 1e-300)
+	tiny.AddEdge(1, 1, 2, 1)
+	tiny.AddEdge(2, 2, 3, 1e-300)
+	tiny.AddEdge(3, 0, 3, 1)
 	var bt, ht ShortestPathTree
 	var bs, hs Scratch
-	got := g.DijkstraInto(0, nil, &bt, &bs)
-	want := g.dijkstraHeapInto(0, nil, &ht, &hs)
-	treesEqual(t, want, got, 6)
+	for _, g := range []*Graph{wide, tiny} {
+		for source := 0; source < g.NumNodes(); source++ {
+			want := g.dijkstraHeapInto(source, nil, &ht, &hs)
+			treesEqual(t, want, g.DijkstraInto(source, nil, &bt, &bs), g.NumNodes())
+		}
+	}
 }
 
 func TestAppendPathToMatchesPathTo(t *testing.T) {

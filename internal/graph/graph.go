@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -159,7 +158,7 @@ type ShortestPathTree struct {
 // Dijkstra computes single-source shortest paths. Ties on distance are
 // broken first by hop count, then by the smaller predecessor node, then by
 // the smaller edge ID, so that path selection is fully deterministic and
-// independent of heap ordering.
+// independent of queue ordering.
 //
 // Trees are memoised per source and invalidated when the graph mutates,
 // so repeated calls from the same source — e.g. a planner re-routing the
@@ -175,7 +174,7 @@ func (g *Graph) Dijkstra(source int) *ShortestPathTree {
 	}
 	g.sptMu.Unlock()
 
-	t := g.dijkstra(source)
+	t := g.DijkstraInto(source, nil, new(ShortestPathTree), new(Scratch))
 
 	g.sptMu.Lock()
 	defer g.sptMu.Unlock()
@@ -188,33 +187,6 @@ func (g *Graph) Dijkstra(source int) *ShortestPathTree {
 		return prev
 	}
 	g.spt[source] = t
-	return t
-}
-
-// dijkstra is the uncached single-source computation behind Dijkstra.
-func (g *Graph) dijkstra(source int) *ShortestPathTree {
-	t := newTree(g)
-	t.Source = source
-	t.Dist[source] = 0
-	t.Hops[source] = 0
-	pq := &distHeap{{node: source, dist: 0, hops: 0}}
-	g.settle(t, pq)
-	return t
-}
-
-func newTree(g *Graph) *ShortestPathTree {
-	t := &ShortestPathTree{
-		Source:   -1,
-		Dist:     make([]float64, g.n),
-		Hops:     make([]int, g.n),
-		prevEdge: make([]int, g.n),
-		g:        g,
-	}
-	for i := range t.Dist {
-		t.Dist[i] = Inf
-		t.Hops[i] = math.MaxInt
-		t.prevEdge[i] = -1
-	}
 	return t
 }
 
@@ -233,45 +205,20 @@ type Seed struct {
 // identical — without materialising the extended graph. Results are not
 // memoised: seed weights vary per call.
 func (g *Graph) DistancesFromSeeds(seeds []Seed) []float64 {
-	t := newTree(g)
-	pq := &distHeap{}
+	var t ShortestPathTree
+	var sc Scratch
+	t.reset(g, -1)
+	sc.reset(g.n)
+	w := g.bucketWidth()
 	for _, s := range seeds {
 		if better(s.Dist, 0, -1, -1, t.Dist[s.Node], t.Hops[s.Node], t.prev(s.Node), t.prevID(s.Node)) {
 			t.Dist[s.Node] = s.Dist
 			t.Hops[s.Node] = 0
-			heap.Push(pq, distItem{node: s.Node, dist: s.Dist, hops: 0})
+			sc.pushBucket(distItem{node: s.Node, dist: s.Dist, hops: 0}, w)
 		}
 	}
-	g.settle(t, pq)
+	g.settleBuckets(&t, &sc, nil, w)
 	return t.Dist
-}
-
-// settle runs the Dijkstra main loop over an initialised tree and heap.
-func (g *Graph) settle(t *ShortestPathTree, pq *distHeap) {
-	done := make([]bool, g.n)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		u := item.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, idx := range g.adj[u] {
-			e := g.edges[idx]
-			v := e.Other(u)
-			if done[v] {
-				continue
-			}
-			nd := t.Dist[u] + e.W
-			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
-				t.Dist[v] = nd
-				t.Hops[v] = nh
-				t.prevEdge[v] = idx
-				heap.Push(pq, distItem{node: v, dist: nd, hops: nh})
-			}
-		}
-	}
 }
 
 func (t *ShortestPathTree) prev(v int) int {
@@ -309,20 +256,7 @@ func better(d float64, h, pn, eid int, od float64, oh, opn, oeid int) bool {
 // PathTo returns the node sequence and edge sequence of the shortest path
 // from the tree source to v. It returns ok=false if v is unreachable.
 func (t *ShortestPathTree) PathTo(v int) (nodes []int, edges []Edge, ok bool) {
-	if math.IsInf(t.Dist[v], 1) {
-		return nil, nil, false
-	}
-	for v != t.Source {
-		idx := t.prevEdge[v]
-		e := t.g.edges[idx]
-		edges = append(edges, e)
-		nodes = append(nodes, v)
-		v = e.Other(v)
-	}
-	nodes = append(nodes, t.Source)
-	reverseInts(nodes)
-	reverseEdges(edges)
-	return nodes, edges, true
+	return t.AppendPathTo(v, nil, nil)
 }
 
 // AppendPathTo is PathTo into caller-owned buffers: the path's nodes and
@@ -358,56 +292,6 @@ func reverseEdges(s []Edge) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-type distItem struct {
-	node int
-	dist float64
-	hops int
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].hops != h[j].hops {
-		return h[i].hops < h[j].hops
-	}
-	return h[i].node < h[j].node
-}
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// BellmanFord computes single-source shortest path distances in O(V·E).
-// It exists as a cross-checking oracle for Dijkstra in tests and accepts the
-// same non-negative weights.
-func (g *Graph) BellmanFord(source int) []float64 {
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[source] = 0
-	for i := 0; i < g.n-1; i++ {
-		changed := false
-		for _, e := range g.edges {
-			if dist[e.U]+e.W < dist[e.V] {
-				dist[e.V] = dist[e.U] + e.W
-				changed = true
-			}
-			if dist[e.V]+e.W < dist[e.U] {
-				dist[e.U] = dist[e.V] + e.W
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist
 }
 
 // Components returns the component label of every node; labels are dense

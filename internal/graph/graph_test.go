@@ -151,13 +151,21 @@ func TestDijkstraDeterministicAcrossInsertionOrders(t *testing.T) {
 }
 
 func randomGraph(rng *rand.Rand, n, m int) *Graph {
+	return weightedGraph(rng, n, m, randomWeight)
+}
+
+func randomWeight(rng *rand.Rand) float64 { return 1 + rng.Float64()*99 }
+
+// weightedGraph is a random multigraph on n nodes with m edges whose
+// weights w draws.
+func weightedGraph(rng *rand.Rand, n, m int, w func(*rand.Rand) float64) *Graph {
 	g := New(n)
 	for i := 0; i < m; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			v = (v + 1) % n
 		}
-		g.AddEdge(i, u, v, 1+rng.Float64()*99)
+		g.AddEdge(i, u, v, w(rng))
 	}
 	return g
 }
@@ -339,7 +347,9 @@ func TestDijkstraConcurrentSharedGraph(t *testing.T) {
 		id++
 	}
 
-	want := g.dijkstra(0).Dist // uncached oracle
+	var oracle ShortestPathTree
+	var sc Scratch
+	want := g.dijkstraHeapInto(0, nil, &oracle, &sc).Dist // uncached oracle
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -367,46 +377,53 @@ func TestDijkstraConcurrentSharedGraph(t *testing.T) {
 
 // TestDistancesFromSeedsMatchesVirtualSource checks the exact-equivalence
 // contract of DistancesFromSeeds: seeding nodes h with weights w must
-// reproduce, bit for bit, the distances Dijkstra reports from an extra
-// source node attached to each h by an edge of length w.
+// reproduce, bit for bit, the distances the heap oracle reports from an
+// extra source node attached to each h by an edge of length w, under
+// every weight regime.
 func TestDistancesFromSeedsMatchesVirtualSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := 8 + rng.Intn(12)
-		g := New(n)
-		ext := New(n + 1) // same graph plus the virtual source at node n
-		id := 0
-		for i := 1; i < n; i++ { // random connected multigraph
-			j := rng.Intn(i)
-			w := 1 + 10*rng.Float64()
-			g.AddEdge(id, i, j, w)
-			ext.AddEdge(id, i, j, w)
-			id++
-		}
-		for k := 0; k < n; k++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			w := 1 + 10*rng.Float64()
-			g.AddEdge(id, u, v, w)
-			ext.AddEdge(id, u, v, w)
-			id++
-		}
+	for _, wr := range weightRegimes {
+		t.Run(wr.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			var oracle ShortestPathTree
+			var sc Scratch
+			for trial := 0; trial < 50; trial++ {
+				n := 8 + rng.Intn(12)
+				g := New(n)
+				ext := New(n + 1) // same graph plus the virtual source at node n
+				id := 0
+				for i := 1; i < n; i++ { // random connected multigraph
+					j := rng.Intn(i)
+					w := wr.w(rng)
+					g.AddEdge(id, i, j, w)
+					ext.AddEdge(id, i, j, w)
+					id++
+				}
+				for k := 0; k < n; k++ {
+					u, v := rng.Intn(n), rng.Intn(n)
+					if u == v {
+						continue
+					}
+					w := wr.w(rng)
+					g.AddEdge(id, u, v, w)
+					ext.AddEdge(id, u, v, w)
+					id++
+				}
 
-		h1 := rng.Intn(n)
-		h2 := (h1 + 1 + rng.Intn(n-1)) % n
-		w1, w2 := 5*rng.Float64(), 5*rng.Float64()
-		ext.AddEdge(id, n, h1, w1)
-		ext.AddEdge(id+1, n, h2, w2)
+				h1 := rng.Intn(n)
+				h2 := (h1 + 1 + rng.Intn(n-1)) % n
+				w1, w2 := wr.w(rng), wr.w(rng)
+				ext.AddEdge(id, n, h1, w1)
+				ext.AddEdge(id+1, n, h2, w2)
 
-		want := ext.Dijkstra(n).Dist[:n]
-		got := g.DistancesFromSeeds([]Seed{{Node: h1, Dist: w1}, {Node: h2, Dist: w2}})
-		for v := 0; v < n; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("trial %d: dist[%d] = %v, virtual-source Dijkstra gives %v", trial, v, got[v], want[v])
+				want := ext.dijkstraHeapInto(n, nil, &oracle, &sc).Dist[:n]
+				got := g.DistancesFromSeeds([]Seed{{Node: h1, Dist: w1}, {Node: h2, Dist: w2}})
+				for v := 0; v < n; v++ {
+					if got[v] != want[v] {
+						t.Fatalf("trial %d: dist[%d] = %v, virtual-source Dijkstra gives %v", trial, v, got[v], want[v])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -330,21 +330,3 @@ func (pl *Plan) UsedHuts() []int {
 	sort.Ints(huts)
 	return huts
 }
-
-// DCFiberEnds returns, per node, the number of fiber-pair ends terminating
-// there (base + residual; cut-throughs terminate only at their endpoint
-// nodes and are reported separately by CutThroughEnds).
-func (pl *Plan) FiberEndsByNode() map[int]int {
-	ends := make(map[int]int)
-	for id, du := range pl.Ducts {
-		d := pl.Input.Map.Ducts[id]
-		n := du.BasePairs + du.ResidualPairs
-		ends[d.A] += n
-		ends[d.B] += n
-	}
-	for _, ct := range pl.Cuts {
-		ends[ct.From] += ct.Pairs
-		ends[ct.To] += ct.Pairs
-	}
-	return ends
-}
